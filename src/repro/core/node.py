@@ -20,8 +20,8 @@ from repro.data.stream import AcquisitionStage
 from repro.diagnosis.diagnoser import Diagnoser
 from repro.hw.specs import GPUSpec
 from repro.models.layer_specs import NetworkSpec
-from repro.nn import Sequential
-from repro.transfer.finetune import evaluate
+from repro.nn import PREDICT_BATCH, Sequential
+from repro.transfer.finetune import logits_accuracy
 
 __all__ = ["NodeReport", "InSituNode"]
 
@@ -115,17 +115,30 @@ class InSituNode:
         """Install an updated model pushed down from the Cloud."""
         self.inference_net.load_state_dict(state)
 
+    def _reads_inference_logits(self, diagnoser: Diagnoser) -> bool:
+        """Whether ``diagnoser`` would rerun this network, sliced alike."""
+        return (
+            hasattr(diagnoser, "flags_from_logits")
+            and getattr(diagnoser, "network", None) is self.inference_net
+            and getattr(diagnoser, "batch_size", None) == PREDICT_BATCH
+        )
+
     def process_stage(self, stage: AcquisitionStage) -> NodeReport:
         """Run inference + diagnosis over a stage's new data.
 
         Returns the report including the upload set: everything when no
         diagnoser is deployed (Fig. 24 a/b), only flagged samples otherwise
-        (Fig. 24 c/d).
+        (Fig. 24 c/d).  The inference network runs once over the data; a
+        diagnoser that reads the same network takes its flags from those
+        logits, as the paper's inference and diagnosis tasks share weights.
         """
         data = stage.new_data
-        accuracy = evaluate(self.inference_net, data)
+        logits = self.inference_net.predict_batched(data.images)
+        accuracy = logits_accuracy(logits, data.labels)
         if self.diagnoser is None:
             flags = np.ones(len(data), dtype=bool)
+        elif self._reads_inference_logits(self.diagnoser):
+            flags = self.diagnoser.flags_from_logits(logits, data.labels)
         else:
             flags = self.diagnoser.flags(data)
         upload = data.subset(np.flatnonzero(flags))

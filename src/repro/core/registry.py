@@ -9,8 +9,8 @@ deployed model, and nobody is watching.  This module provides
   deploys the active version.
 * :class:`UpdateGuard` — an acceptance test for updates: the candidate
   model must not lose more than ``max_regression`` accuracy on a held-out
-  validation set relative to the active model, otherwise the update is
-  rejected and the weights roll back.
+  validation set relative to the active model, and must have finite
+  weights; otherwise the update is rejected and the weights roll back.
 """
 
 from __future__ import annotations
@@ -173,13 +173,17 @@ class UpdateGuard:
     ) -> GuardDecision:
         """Evaluate the updated ``net`` against its previous weights.
 
-        On rejection, ``net`` is restored to ``previous_state`` in place.
+        A candidate with any non-finite parameter is rejected whatever its
+        accuracy: NaN logits ``argmax`` to class 0, which can score at
+        chance and pass a weak incumbent.  On rejection, ``net`` is
+        restored to ``previous_state`` in place.
         """
         after = evaluate(net, self.validation_data)
+        finite = all(np.isfinite(p.data).all() for p in net.parameters)
         current_state = net.state_dict()
         net.load_state_dict(previous_state)
         before = evaluate(net, self.validation_data)
-        accepted = after >= before - self.max_regression
+        accepted = finite and after >= before - self.max_regression
         if accepted:
             net.load_state_dict(current_state)
         decision = GuardDecision(

@@ -15,7 +15,10 @@ that diagnoser plus the baselines the ablation benches compare against:
 * :class:`RandomDiagnoser` — uniform random selection at a fixed budget.
 
 All diagnosers share one contract: ``flags(dataset)`` returns a boolean mask
-with True for unrecognized/valuable samples.
+with True for unrecognized/valuable samples.  The two that read the
+inference network itself also offer ``flags_from_logits(logits, labels)``,
+so a node that already ran that network on the data can reuse its logits
+instead of running it again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.nn import Sequential, softmax
+from repro.nn import PREDICT_BATCH, Sequential, softmax
 from repro.obs import metrics as obs_metrics
 from repro.selfsup.context_net import ContextNetwork
 from repro.selfsup.jigsaw import JigsawSampler
@@ -134,7 +137,11 @@ class InferenceConfidenceDiagnoser(Diagnoser):
     """Flag samples whose inference softmax confidence is below a threshold."""
 
     def __init__(
-        self, network: Sequential, threshold: float = 0.6, *, batch_size: int = 128
+        self,
+        network: Sequential,
+        threshold: float = 0.6,
+        *,
+        batch_size: int = PREDICT_BATCH,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
@@ -142,16 +149,27 @@ class InferenceConfidenceDiagnoser(Diagnoser):
         self.threshold = threshold
         self.batch_size = batch_size
 
+    @staticmethod
+    def _confidence(logits: np.ndarray) -> np.ndarray:
+        confidence = softmax(logits, axis=1).max(axis=1)
+        return confidence.astype(np.float64)  # repro-lint: ignore[RPR004] a float32 compare would round the threshold itself and move the flag boundary
+
     def score(self, data: Dataset) -> np.ndarray:
-        scores = np.zeros(len(data))
-        for start in range(0, len(data), self.batch_size):
-            stop = start + self.batch_size
-            probs = softmax(self.network.predict(data.images[start:stop]), axis=1)
-            scores[start:stop] = probs.max(axis=1)
-        return scores
+        return self._confidence(
+            self.network.predict_batched(data.images, self.batch_size)
+        )
+
+    def flags_from_logits(
+        self, logits: np.ndarray, labels: np.ndarray
+    ) -> np.ndarray:
+        """The :meth:`flags` mask from ``network``'s logits for the data."""
+        return self._confidence(logits) < self.threshold
 
     def flags(self, data: Dataset) -> np.ndarray:
-        return self.score(data) < self.threshold
+        return self.flags_from_logits(
+            self.network.predict_batched(data.images, self.batch_size),
+            data.labels,
+        )
 
 
 class OracleDiagnoser(Diagnoser):
@@ -162,17 +180,23 @@ class OracleDiagnoser(Diagnoser):
     model got wrong).
     """
 
-    def __init__(self, network: Sequential, *, batch_size: int = 128) -> None:
+    def __init__(
+        self, network: Sequential, *, batch_size: int = PREDICT_BATCH
+    ) -> None:
         self.network = network
         self.batch_size = batch_size
 
+    def flags_from_logits(
+        self, logits: np.ndarray, labels: np.ndarray
+    ) -> np.ndarray:
+        """The :meth:`flags` mask from ``network``'s logits for the data."""
+        return logits.argmax(axis=1) != labels
+
     def flags(self, data: Dataset) -> np.ndarray:
-        wrong = np.zeros(len(data), dtype=bool)
-        for start in range(0, len(data), self.batch_size):
-            stop = start + self.batch_size
-            preds = self.network.predict(data.images[start:stop]).argmax(axis=1)
-            wrong[start:stop] = preds != data.labels[start:stop]
-        return wrong
+        return self.flags_from_logits(
+            self.network.predict_batched(data.images, self.batch_size),
+            data.labels,
+        )
 
 
 class RandomDiagnoser(Diagnoser):

@@ -22,7 +22,7 @@ from repro.nn.dropout import Dropout
 from repro.nn.im2col import col2im, conv_output_size, im2col
 from repro.nn.linear import Linear
 from repro.nn.loss import CrossEntropyLoss, MSELoss, accuracy, top_k_accuracy
-from repro.nn.network import Sequential
+from repro.nn.network import PREDICT_BATCH, Sequential
 from repro.nn.norm import BatchNorm2D, LocalResponseNorm
 from repro.nn.optim import SGD, ConstantLR, StepLR
 from repro.nn.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
@@ -44,6 +44,7 @@ __all__ = [
     "LocalResponseNorm",
     "MSELoss",
     "MaxPool2D",
+    "PREDICT_BATCH",
     "Parameter",
     "ReLU",
     "SGD",

@@ -18,7 +18,11 @@ from repro.nn.base import Layer, Shape
 from repro.nn.conv import Conv2D
 from repro.nn.tensor import Parameter
 
-__all__ = ["Sequential"]
+__all__ = ["PREDICT_BATCH", "Sequential"]
+
+#: default slice size of :meth:`Sequential.predict_batched`; the batch every
+#: accuracy and diagnosis read uses unless told otherwise
+PREDICT_BATCH = 128
 
 
 class Sequential:
@@ -70,6 +74,25 @@ class Sequential:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward pass (no caches, dropout off)."""
         return self.forward(x, training=False)
+
+    def predict_batched(
+        self, images: np.ndarray, batch_size: int = PREDICT_BATCH
+    ) -> np.ndarray:
+        """:meth:`predict` over contiguous slices, logits concatenated.
+
+        Bounds the im2col working set on large inputs.  An empty input gives
+        an empty ``(0, *output_shape)`` array without running the network.
+        """
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if len(images) == 0:
+            return np.empty((0, *self.output_shape), dtype=images.dtype)
+        return np.concatenate(
+            [
+                self.predict(images[start : start + batch_size])
+                for start in range(0, len(images), batch_size)
+            ]
+        )
 
     def __call__(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.nn import SGD, CrossEntropyLoss, Sequential, accuracy
+from repro.nn import PREDICT_BATCH, SGD, CrossEntropyLoss, Sequential, accuracy
 from repro.obs import metrics as obs_metrics
 from repro.obs.clock import perf_counter
 from repro.transfer.surgery import FreezePlan
@@ -22,6 +22,7 @@ from repro.transfer.surgery import FreezePlan
 __all__ = [
     "TrainResult",
     "evaluate_on_classes",
+    "logits_accuracy",
     "split_at_frozen_prefix",
     "train_classifier",
 ]
@@ -156,14 +157,18 @@ def train_classifier(
     return result
 
 
-def evaluate(net: Sequential, data: Dataset, *, batch_size: int = 128) -> float:
+def evaluate(
+    net: Sequential, data: Dataset, *, batch_size: int = PREDICT_BATCH
+) -> float:
     """Top-1 accuracy of the network on a dataset."""
-    if len(data) == 0:
+    return logits_accuracy(net.predict_batched(data.images, batch_size), data.labels)
+
+
+def logits_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy of precomputed logits: the float :func:`evaluate` returns."""
+    if len(labels) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    for x, y in data.batches(batch_size):
-        correct += int((net.predict(x).argmax(axis=1) == y).sum())
-    return correct / len(data)
+    return int((logits.argmax(axis=1) == labels).sum()) / len(labels)
 
 
 def evaluate_on_classes(

@@ -109,6 +109,23 @@ class TestUpdateGuard:
         )
         assert guard.rejection_count == 1
 
+    def test_rejects_non_finite_candidate(self, rng, generator):
+        data = make_dataset(60, generator=generator, rng=rng)
+        net = build_classifier(4, np.random.default_rng(3))
+        previous = net.state_dict()
+        net["fc8"].weight.data[0, 0] = np.nan
+        weights_before = net["fc8"].weight.data
+        # A tolerance of 1.0 accepts any accuracy: only the NaN can reject.
+        guard = UpdateGuard(data, max_regression=1.0)
+        decision = guard.check(net, previous)
+        assert not decision.accepted
+        assert np.isfinite(decision.accuracy_before)
+        assert np.isfinite(decision.accuracy_after)
+        # Restored in place: same array object, previous values.
+        assert net["fc8"].weight.data is weights_before
+        for name, value in net.state_dict().items():
+            assert np.array_equal(value, previous[name]), name
+
     def test_empty_validation_rejected(self, rng, generator):
         data = make_dataset(4, generator=generator, rng=rng)
         with pytest.raises(ValueError):

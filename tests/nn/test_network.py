@@ -70,6 +70,25 @@ class TestExecution:
         x = rng.normal(size=(1, 3, 8, 8))
         assert np.array_equal(net.predict(x), net.forward(x))
 
+    @pytest.mark.parametrize("count", [1, 4, 5, 9])
+    def test_predict_batched_matches_slices(self, rng, count):
+        net = tiny_net(rng)
+        x = rng.normal(size=(count, 3, 8, 8))
+        want = np.concatenate(
+            [net.predict(x[start : start + 4]) for start in range(0, count, 4)]
+        )
+        assert np.array_equal(net.predict_batched(x, 4), want)
+
+    def test_predict_batched_empty(self, rng):
+        net = tiny_net(rng)
+        out = net.predict_batched(np.empty((0, 3, 8, 8), dtype=np.float32))
+        assert out.shape == (0, 3)
+        assert out.dtype == np.float32
+
+    def test_predict_batched_rejects_bad_batch(self, rng):
+        with pytest.raises(ValueError, match="batch_size"):
+            tiny_net(rng).predict_batched(np.zeros((1, 3, 8, 8)), 0)
+
 
 class TestFreezing:
     def test_freeze_layers(self, rng):
